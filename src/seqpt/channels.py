@@ -167,17 +167,27 @@ def builtin_channel(name: str, params: Optional[dict] = None) -> QuantumChannel:
     """Construct a channel from the built-in zoo; see the module docstring."""
     params = dict(params or {})
 
+    def take(key: str, convert=float, default=None):
+        if key not in params:
+            if default is None:
+                raise ValueError(f"channel {name!r} requires parameter {key!r}")
+            return default
+        try:
+            return convert(params.pop(key))
+        except (TypeError, ValueError):
+            raise ValueError(f"channel {name!r} parameter {key!r} must be a number") from None
+
     def take_prob(key: str = "p") -> float:
-        p = float(params.pop(key))
+        p = take(key)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{key} must lie in [0, 1], got {p}")
         return p
 
     if name == "identity":
-        n = int(params.pop("n", 2))
+        n = take("n", int, 2)
         channel = QuantumChannel(n, (np.eye(2**n, dtype=complex),))
     elif name == "polarization_unitary":
-        theta = float(params.pop("theta"))
+        theta = take("theta")
         axis = str(params.pop("axis", "x")).lower()
         sigma = {
             "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -198,7 +208,7 @@ def builtin_channel(name: str, params: Optional[dict] = None) -> QuantumChannel:
         channel = QuantumChannel(2, tuple(k for k in kraus if np.any(k)))
     elif name == "depolarizing":
         p = take_prob()
-        n = int(params.pop("n", 1))
+        n = take("n", int, 1)
         basis, _ = pauli_basis(n)
         d = 2**n
         kraus = [math.sqrt(1.0 - p + p / d**2) * np.eye(d, dtype=complex)]

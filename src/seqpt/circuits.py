@@ -20,7 +20,7 @@ import numpy as np
 
 from .dense import StateVector
 from .errors import InvalidBasisError
-from .paulis import PauliOperator, apply_to_computational
+from .paulis import PauliOperator
 
 if TYPE_CHECKING:
     from .mub import MubDesign
@@ -94,12 +94,14 @@ class CliffordCircuit:
         return [str(g) for g in self.gates]
 
     def unitary(self) -> np.ndarray:
-        """Dense matrix of the circuit (columns are images of basis states)."""
+        """Dense matrix of the circuit (columns are images of basis states).
+
+        All columns go through one gate pass over the identity; each column
+        sees the same arithmetic as :func:`apply_circuit` on its basis state.
+        """
         d = 2**self.n
-        cols = np.empty((d, d), dtype=complex)
-        for i in range(d):
-            cols[:, i] = apply_circuit(self, StateVector.computational(self.n, i)).amplitudes
-        return cols
+        cols = np.eye(d, dtype=complex).reshape([2] * self.n + [d])
+        return _run_gates(self.gates, cols).reshape(d, d)
 
 
 def apply_circuit(circuit: CliffordCircuit, state: StateVector) -> StateVector:
@@ -107,7 +109,14 @@ def apply_circuit(circuit: CliffordCircuit, state: StateVector) -> StateVector:
     if circuit.n != state.n:
         raise ValueError(f"qubit counts differ: {circuit.n} vs {state.n}")
     psi = np.array(state.amplitudes, dtype=complex).reshape([2] * circuit.n)
-    for g in circuit.gates:
+    _run_gates(circuit.gates, psi)
+    return StateVector(circuit.n, psi.reshape(-1), is_normalized=state.is_normalized)
+
+
+def _run_gates(gates: Sequence[Gate], psi: np.ndarray) -> np.ndarray:
+    """Apply the gates in place to ``psi``, whose leading axes are the qubits;
+    trailing axes, if any, batch independent states."""
+    for g in gates:
         if g.kind == "H":
             view = np.moveaxis(psi, g.qubit, 0)
             a0 = view[0].copy()
@@ -123,7 +132,7 @@ def apply_circuit(circuit: CliffordCircuit, state: StateVector) -> StateVector:
         else:  # CNOT
             view = np.moveaxis(psi, (g.control, g.qubit), (0, 1))
             view[1, [0, 1]] = view[1, [1, 0]]
-    return StateVector(circuit.n, psi.reshape(-1), is_normalized=state.is_normalized)
+    return psi
 
 
 def _conjugate_gate(x: list, z: list, phase: int, gate: Gate, inverted: bool) -> int:
@@ -320,11 +329,12 @@ def compile_prep(
 ) -> PrepProgram:
     """Compile the preparation of (E_a + e^{i beta} E_b)|phi_i^(alpha)>.
 
-    E_a and E_b are conjugated backwards through the basis circuit, applied to
-    the computational state |i>, and the result reduced to a two-term
-    computational superposition that a short circuit prepares before the
+    E_a and E_b move |i> by the basis translation table
+    (:meth:`seqpt.mub.MubBasis.apply_pauli`), and the resulting two-term
+    computational superposition is prepared by a short circuit before the
     change of basis is appended.
     """
+    from .mub import superposition_norm
     from .paulis import as_pauli
 
     basis = design.bases[alpha]
@@ -333,19 +343,16 @@ def compile_prep(
     ea = as_pauli(a, design.n)
     eb = as_pauli(b, design.n)
     beta_q = _beta_quarters(beta)
-    ea_t = conjugate_pauli(basis.circuit, ea, direction="reverse")
-    eb_t = conjugate_pauli(basis.circuit, eb, direction="reverse")
-    m, power_a = apply_to_computational(ea_t, i)
-    n_idx, power_b = apply_to_computational(eb_t, i)
+    m, power_a = basis.apply_pauli(ea, i)
+    n_idx, power_b = basis.apply_pauli(eb, i)
     gamma_q = (beta_q + power_b - power_a) % 4
+    squared_norm = superposition_norm(m, n_idx, gamma_q)
+    if squared_norm == 0.0:
+        return PrepProgram(None, 0.0, True, m, n_idx, gamma_q)
     if m == n_idx:
         # Amplitudes interfere on a single computational state.
-        if gamma_q == 2:
-            return PrepProgram(None, 0.0, True, m, n_idx, gamma_q)
-        squared_norm = 4.0 if gamma_q == 0 else 2.0
         prep = _computational_prep(design.n, m)
     else:
-        squared_norm = 2.0
         prep = superposition_circuit(design.n, m, n_idx, gamma_q)
     return PrepProgram(
         prep.followed_by(basis.circuit), squared_norm, False, m, n_idx, gamma_q

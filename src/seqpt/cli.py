@@ -76,13 +76,46 @@ class RunConfig:
         }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Config document keys: (accepts value, description for the error message).
+_CONFIG_KEYS = {
+    "n": (_is_int, "an integer"),
+    "channel": (
+        lambda v: isinstance(v, dict) and isinstance(v.get("params", {}), dict),
+        "an object with optional object 'params'",
+    ),
+    "m": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "shots": (lambda v: v == EXACT_SHOTS or _is_int(v), "an integer or 'exact'"),
+    "seed": (_is_int, "an integer"),
+    "orders": (_is_int, "an integer"),
+    "target": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "element": (
+        lambda v: isinstance(v, list) and len(v) == 2 and all(isinstance(s, str) for s in v),
+        "a list of two Pauli labels",
+    ),
+    "element_a": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "element_b": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "out": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _kraus_matrices(doc) -> list[np.ndarray]:
+    """Explicit Kraus operators from nested ``[re, im]`` number pairs."""
+    try:
+        pairs = np.array(doc)
+    except ValueError:  # ragged nesting
+        pairs = None
+    if pairs is None or pairs.dtype.kind not in "iuf" or pairs.ndim != 4 or pairs.shape[-1] != 2:
+        raise ValueError("channel 'kraus' must be a list of square matrices of [re, im] number pairs")
+    return list(np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0])
+
+
 def _build_channel(spec: dict, n: int) -> QuantumChannel:
     if "kraus" in spec:
-        kraus = [
-            np.array([[complex(re, im) for re, im in row] for row in mat])
-            for mat in spec["kraus"]
-        ]
-        return kraus_channel(n, kraus)
+        return kraus_channel(n, _kraus_matrices(spec["kraus"]))
     params = dict(spec.get("params", {}))
     name = spec.get("name")
     if name is None:
@@ -325,21 +358,22 @@ def _parse_args(argv) -> RunConfig:
 
     settings: dict = {}
     if args.config:
-        settings.update(json.loads(Path(args.config).read_text()))
-    if "element" in settings:
-        pair = settings.pop("element")
-        settings["element_a"], settings["element_b"] = pair[0], pair[1]
-
-    config = RunConfig(task=args.task)
-    if "task" in settings and settings["task"] != args.task:
-        raise ValueError(
-            f"config task {settings['task']!r} conflicts with argument {args.task!r}"
-        )
-    settings.pop("task", None)
+        settings = json.loads(Path(args.config).read_text())
+        if not isinstance(settings, dict):
+            raise ValueError("config document must be a JSON object")
+    task = settings.pop("task", args.task)
+    if task != args.task:
+        raise ValueError(f"config task {task!r} conflicts with argument {args.task!r}")
     for key, value in settings.items():
-        if not hasattr(config, key):
+        if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-        setattr(config, key, value)
+        accepts, expected = _CONFIG_KEYS[key]
+        if not accepts(value):
+            raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
+    if "element" in settings:
+        settings["element_a"], settings["element_b"] = settings.pop("element")
+
+    config = RunConfig(task=args.task, **settings)
 
     if args.n is not None:
         config.n = args.n

@@ -130,14 +130,23 @@ def survival_probability(rho: DensityMatrix, phi: StateVector) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def basis_probabilities(rho: DensityMatrix, basis_circuit: "CliffordCircuit") -> np.ndarray:
-    """Probabilities of projecting ``rho`` onto each basis state ``circuit|i>``.
+def basis_probabilities(
+    rho: DensityMatrix, basis: Union["CliffordCircuit", np.ndarray]
+) -> np.ndarray:
+    """Probabilities of projecting ``rho`` onto each basis state ``C|i>``.
 
-    Entry i is <i|C^dag rho C|i>; the vector sums to one within 1e-10.
+    ``basis`` is the change-of-basis circuit C or its dense unitary.  Entry i
+    is <i|C^dag rho C|i>; the vector sums to one within 1e-10.
     """
-    if rho.n != basis_circuit.n:
-        raise ValueError(f"qubit counts differ: {rho.n} vs {basis_circuit.n}")
-    unitary = basis_circuit.unitary()
+    if isinstance(basis, np.ndarray):
+        d = 2**rho.n
+        if basis.shape != (d, d):
+            raise ValueError(f"expected a {d}x{d} basis unitary, got shape {basis.shape}")
+        unitary = basis
+    else:
+        if rho.n != basis.n:
+            raise ValueError(f"qubit counts differ: {rho.n} vs {basis.n}")
+        unitary = basis.unitary()
     probs = np.real(np.einsum("ji,jk,ki->i", unitary.conj(), rho.entries, unitary))
     if abs(float(np.sum(probs)) - 1.0) > HERMITICITY_ATOL:
         raise NumericalIntegrityError(

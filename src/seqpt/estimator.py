@@ -18,6 +18,14 @@ a combination pinned against the exact ground truth by the test suite.
 Sampling m of the K states without replacement gives the finite-population
 error sigma_pop * sqrt((1/m)(1 - (m-1)/(K-1))), which vanishes at m = K.
 
+No circuit is compiled or simulated here.  Each use comes from integer
+operations on the basis translation table (E_a|phi_i> = i**k |phi_i'>, see
+:meth:`seqpt.mub.MubBasis.image`): the preparation (E_a + e^{i beta} E_b)
+|phi_i> is |phi_m> + i**gamma |phi_n_idx> up to a phase, with m = i' of E_a
+and n_idx = i' of E_b.  Each setting's state is one column, or the
+normalized sum of two columns, of the cached basis unitary, which also
+measures it.
+
 Determinism contract: probabilities are memoized per experimental setting and
 shot noise uses an RNG substream derived from (master seed, canonical setting
 key), so results do not depend on evaluation order; estimates accumulate the
@@ -27,18 +35,27 @@ across seeds.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .channels import QuantumChannel, ChiMatrix, TargetSupport, apply_channel, pauli_basis
-from .circuits import apply_circuit, compile_prep, superposition_circuit
 from .dense import DensityMatrix, StateVector, basis_probabilities
-from .mub import MubDesign, design_state, translate
-from .paulis import PauliLike, as_pauli, pauli_from_index, pauli_label, pauli_to_index
+from .mub import MubDesign, superposition_norm
+from .paulis import (
+    PauliLike,
+    as_pauli,
+    masked_action,
+    pauli_from_index,
+    pauli_label,
+    pauli_to_index,
+)
 
 EXACT_SHOTS = "exact"
+
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 # e^{i beta} coefficients of the four off-diagonal preparations and the
 # weights they carry in the per-state combination f_j (see module docstring).
@@ -175,22 +192,22 @@ class ExperimentBackend:
         return self.shots == EXACT_SHOTS
 
     def _prepared_state(self, key: tuple) -> StateVector:
-        alpha = key[0]
-        basis = self.design.bases[alpha]
+        """The setting's state from columns of the cached basis unitary:
+        U|m>, or (U|m> + i**gamma U|n_idx>)/sqrt(2) for a pair."""
+        unitary = self.design.bases[key[0]].unitary
         if key[1] == "s":
-            return design_state(self.design, alpha, key[2])
+            return StateVector(self.design.n, unitary[:, key[2]])
         _, _, m, n_idx, gamma_q = key
-        prep = superposition_circuit(self.design.n, m, n_idx, gamma_q).followed_by(
-            basis.circuit
+        return StateVector(
+            self.design.n, (unitary[:, m] + 1j**gamma_q * unitary[:, n_idx]) * _SQRT_HALF
         )
-        return apply_circuit(prep, StateVector.computational(self.design.n, 0))
 
     def exact_probabilities(self, key: tuple) -> np.ndarray:
         probs = self._exact.get(key)
         if probs is None:
             state = self._prepared_state(key)
             rho = apply_channel(self.channel, DensityMatrix.from_state(state))
-            probs = basis_probabilities(rho, self.design.bases[key[0]].circuit)
+            probs = basis_probabilities(rho, self.design.bases[key[0]].unitary)
             probs.flags.writeable = False
             self._exact[key] = probs
         return probs
@@ -215,41 +232,45 @@ class ExperimentBackend:
         for element (a, b); cached per element."""
         pa = as_pauli(a, self.design.n)
         pb = as_pauli(b, self.design.n)
-        cache_key = (pauli_to_index(pa).value, pauli_to_index(pb).value)
-        uses = self._uses.get(cache_key)
+        ia, ib = pauli_to_index(pa).value, pauli_to_index(pb).value
+        uses = self._uses.get((ia, ib))
         if uses is None:
-            uses = tuple(
-                _state_uses(self.design, alpha, i, pa, pb)
-                for alpha in range(len(self.design.bases))
-                for i in range(self.design.dim)
-            )
-            self._uses[cache_key] = uses
+            uses = []
+            for basis in self.design.bases:
+                xa, za, phase_a = basis.image(ia)
+                xb, zb, phase_b = basis.image(ib)
+                image_a = (xa, za, phase_a + pa.phase_power)
+                image_b = (xb, zb, phase_b + pb.phase_power)
+                uses.extend(
+                    _state_uses(basis.alpha, i, image_a, image_b, pa == pb)
+                    for i in range(self.design.dim)
+                )
+            uses = self._uses[(ia, ib)] = tuple(uses)
         return uses
 
 
-def _state_uses(design, alpha, i, pa, pb) -> tuple[ExperimentSetting, ...]:
+def _state_uses(alpha, i, image_a, image_b, diagonal) -> tuple[ExperimentSetting, ...]:
     """Experiment uses contributing to f_j for design state (alpha, i).
 
-    The returned weights fold the +-1/4 (and -+i/4) combination coefficients
-    into the preparation norms, so f_j is just sum(weight * probability).
-    Null preparations are dropped; uses that share a physical setting within
-    the state are merged.
+    ``image_a``/``image_b`` are the basis's translation-table entries for
+    E_a and E_b, so E_a|phi_i> = i**power_a |phi_m> and E_b|phi_i> =
+    i**power_b |phi_n_idx>.  The returned weights fold the +-1/4 (and -+i/4)
+    combination coefficients into the preparation norms, so f_j is just
+    sum(weight * probability).  Null preparations are dropped; uses that
+    share a physical setting within the state are merged.
     """
-    if pa == pb:
-        i_prime, _ = translate(design, alpha, i, pa)
-        return (
-            ExperimentSetting(alpha, "single", i_prime, i_prime, 0, i, 1.0 + 0.0j),
-        )
+    m, power_a = masked_action(*image_a, i)
+    if diagonal:
+        return (ExperimentSetting(alpha, "single", m, m, 0, i, 1.0 + 0.0j),)
+    n_idx, power_b = masked_action(*image_b, i)
+    kind = "single" if m == n_idx else "pair"
     merged: dict[tuple, ExperimentSetting] = {}
     for beta_q, coeff in _OFFDIAG_PREPS:
-        prog = compile_prep(design, alpha, i, pa, pb, beta_q * np.pi / 2)
-        if prog.is_null:
+        gamma_q = (beta_q + power_b - power_a) % 4
+        squared_norm = superposition_norm(m, n_idx, gamma_q)
+        if squared_norm == 0.0:
             continue
-        kind = "single" if prog.m == prog.n_idx else "pair"
-        use = ExperimentSetting(
-            alpha, kind, prog.m, prog.n_idx, prog.gamma_quarters, i,
-            coeff * prog.squared_norm,
-        )
+        use = ExperimentSetting(alpha, kind, m, n_idx, gamma_q, i, coeff * squared_norm)
         key = use.canonical_key
         if key in merged:
             prev = merged[key]

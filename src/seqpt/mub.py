@@ -19,23 +19,25 @@ Conventions fixed here and relied on everywhere else:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .circuits import CliffordCircuit, apply_circuit, conjugate_pauli, synthesize_basis_circuit
+from .circuits import CliffordCircuit, conjugate_pauli, synthesize_basis_circuit
 from .dense import StateVector
 from .errors import UnsupportedSizeError
 from .paulis import (
     PauliIndex,
     PauliOperator,
-    apply_to_computational,
     as_pauli,
     commutes,
+    masked_action,
     pauli_from_index,
     pauli_from_label,
     pauli_label,
+    pauli_masks,
     pauli_multiply,
     pauli_to_index,
 )
@@ -54,11 +56,41 @@ _TWO_QUBIT_GENERATORS = (
 @dataclass(frozen=True)
 class MubBasis:
     """One basis: its index, ordered generator list and change-of-basis
-    circuit (state i of the basis is circuit applied to |i>)."""
+    circuit (state i of the basis is circuit applied to |i>).
+
+    The basis caches its exact data on first use, both read-only: the dense
+    unitary (column i is state i) and, per Pauli index a, the image
+    C^dag E_a C as integer masks -- the basis's Pauli translation table.
+    """
 
     alpha: int
     generators: tuple[PauliOperator, ...]
     circuit: CliffordCircuit
+    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def unitary(self) -> np.ndarray:
+        """Dense change-of-basis matrix, built once."""
+        unitary = self.circuit.unitary()
+        unitary.flags.writeable = False
+        return unitary
+
+    def image(self, a: int) -> tuple[int, int, int]:
+        """C^dag E_a C for Pauli index a, as ``pauli_masks`` output
+        ``(xmask, zmask, phase_power)``; memoized per index."""
+        image = self._images.get(a)
+        if image is None:
+            moved = conjugate_pauli(
+                self.circuit, pauli_from_index(a, self.circuit.n), direction="reverse"
+            )
+            image = self._images[a] = pauli_masks(moved)
+        return image
+
+    def apply_pauli(self, p: PauliOperator, i: int) -> tuple[int, int]:
+        """Translation rule: ``(i_prime, power)`` with
+        E_p |phi_i> = i**power |phi_i_prime>, read from the table."""
+        xmask, zmask, phase = self.image(pauli_to_index(p).value)
+        return masked_action(xmask, zmask, phase + p.phase_power, i)
 
 
 @dataclass(frozen=True)
@@ -173,12 +205,13 @@ def build_design(n: int, partition_limit: int = PARTITION_QUBIT_LIMIT) -> MubDes
 
 
 def design_state(design: MubDesign, alpha: int, i: int) -> StateVector:
-    """State i of basis alpha: the basis circuit applied to |i>."""
+    """State i of basis alpha: the basis circuit applied to |i>, read as
+    column i of the basis unitary."""
     if not 0 <= alpha < len(design.bases):
         raise ValueError(f"basis index {alpha} out of range")
     if not 0 <= i < design.dim:
         raise ValueError(f"state index {i} out of range")
-    return apply_circuit(design.bases[alpha].circuit, StateVector.computational(design.n, i))
+    return StateVector(design.n, design.bases[alpha].unitary[:, i])
 
 
 def translate(
@@ -187,17 +220,23 @@ def translate(
     """Translation rule: E_a |phi_i^(alpha)> = phase * |phi_i'^(alpha)>.
 
     i' flips the eigenvalue bit of every generator that anticommutes with
-    E_a; both i' and the phase come from conjugating E_a backwards through
-    the basis circuit and applying the result to |i>, all exactly.
+    E_a; both i' and the phase come from the basis's exact image of E_a
+    (:meth:`MubBasis.apply_pauli`).
     """
     if not 0 <= alpha < len(design.bases):
         raise ValueError(f"basis index {alpha} out of range")
     if not 0 <= i < design.dim:
         raise ValueError(f"state index {i} out of range")
-    op = as_pauli(a, design.n)
-    moved = conjugate_pauli(design.bases[alpha].circuit, op, direction="reverse")
-    i_prime, power = apply_to_computational(moved, i)
+    i_prime, power = design.bases[alpha].apply_pauli(as_pauli(a, design.n), i)
     return i_prime, 1j**power
+
+
+def superposition_norm(m: int, n_idx: int, gamma_quarters: int) -> float:
+    """Squared norm of |m> + i**gamma_quarters |n_idx>: 2 for distinct
+    indices; 4, 2, 0, 2 for gamma_quarters 0..3 when they coincide."""
+    if m != n_idx:
+        return 2.0
+    return (4.0, 2.0, 0.0, 2.0)[gamma_quarters % 4]
 
 
 def frame_potential(design: Union[MubDesign, Iterable[StateVector]]) -> float:

@@ -221,20 +221,30 @@ def enumerate_paulis(n: int) -> Iterator[PauliOperator]:
         yield pauli_from_index(value, n)
 
 
+def pauli_masks(p: PauliOperator) -> tuple[int, int, int]:
+    """``(xmask, zmask, phase_power)`` of p, with qubit 0 as the most
+    significant bit, so the masks line up with computational basis indices."""
+    xmask = zmask = 0
+    for x, z in zip(p.x_bits, p.z_bits):
+        xmask = (xmask << 1) | x
+        zmask = (zmask << 1) | z
+    return xmask, zmask, p.phase_power
+
+
+def masked_action(xmask: int, zmask: int, phase_power: int, i: int) -> tuple[int, int]:
+    """``(i_prime, power)`` with ``P|i> = i**power |i_prime>`` for the Pauli
+    given by :func:`pauli_masks`: X bits flip, each Y factor contributes i and
+    each Z or Y factor on a set bit contributes -1."""
+    power = phase_power + (xmask & zmask).bit_count() + 2 * (zmask & i).bit_count()
+    return i ^ xmask, power % 4
+
+
 def apply_to_computational(p: PauliOperator, i: int) -> tuple[int, int]:
     """Apply p to the computational basis state ``|i>``.
 
     Returns ``(i_prime, power)`` with ``p|i> = i**power |i_prime>``; exact
-    integer arithmetic, used by the basis translation rule and the state
-    preparation compiler.
+    integer arithmetic.
     """
     if not 0 <= i < 2**p.n:
         raise ValueError(f"basis index {i} out of range for {p.n} qubits")
-    i_prime = i
-    power = p.phase_power
-    for k, (x, z) in enumerate(zip(p.x_bits, p.z_bits)):
-        bit = (i >> (p.n - 1 - k)) & 1
-        power += x * z + 2 * (z & bit)
-        if x:
-            i_prime ^= 1 << (p.n - 1 - k)
-    return i_prime, power % 4
+    return masked_action(*pauli_masks(p), i)

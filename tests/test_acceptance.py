@@ -211,34 +211,62 @@ def test_criterion_6_two_design_certification(design1, design2):
     )
 
 
+def _prep_program_fidelity(design, alpha, i, a, b, beta_q):
+    """Compile (E_a + i**beta_q E_b)|phi_i^(alpha)>, check its weight against
+    the dense raw norm, and return the prepared state's fidelity to the
+    normalized target (None for a null program)."""
+    basis, _ = pauli_basis(design.n)
+    program = compile_prep(design, alpha, i, a, b, beta_q * np.pi / 2)
+    assert program.squared_norm in (0.0, 2.0, 4.0)
+    phi = design_state(design, alpha, i).amplitudes
+    raw = (basis[a] + 1j**beta_q * basis[b]) @ phi
+    norm_sq = float(np.vdot(raw, raw).real)
+    assert program.squared_norm == pytest.approx(norm_sq, abs=1e-10)
+    if program.is_null:
+        return None
+    state = apply_circuit(program.circuit, StateVector.computational(design.n, 0))
+    return abs(np.vdot(state.amplitudes, raw / np.sqrt(norm_sq))) ** 2
+
+
 def test_criterion_7_prep_compiler_exhaustive(design2):
     """All 9600 (alpha, i, a<b, beta) programs reach fidelity >= 1 - 1e-9."""
-    basis, _ = pauli_basis(2)
     count = 0
     nulls = 0
     worst_fidelity = 1.0
     for alpha in range(5):
         for i in range(4):
-            phi = design_state(design2, alpha, i).amplitudes
-            projector = np.outer(phi, phi.conj())
             for a, b in itertools.combinations(range(16), 2):
                 for beta_q in range(4):
-                    program = compile_prep(design2, alpha, i, a, b, beta_q * np.pi / 2)
+                    fid = _prep_program_fidelity(design2, alpha, i, a, b, beta_q)
                     count += 1
-                    assert program.squared_norm in (0.0, 2.0, 4.0)
-                    raw = (basis[a] + 1j**beta_q * basis[b]) @ phi
-                    norm_sq = float(np.vdot(raw, raw).real)
-                    assert program.squared_norm == pytest.approx(norm_sq, abs=1e-10)
-                    if program.is_null:
+                    if fid is None:
                         nulls += 1
                         continue
-                    state = apply_circuit(program.circuit, StateVector.computational(2, 0))
-                    fid = abs(np.vdot(state.amplitudes, raw / np.sqrt(norm_sq))) ** 2
                     worst_fidelity = min(worst_fidelity, fid)
                     assert fid >= 1 - 1e-9
     assert count == 9600
     report(
         f"criterion 7 PASS: {count} programs ({nulls} null), "
+        f"worst fidelity 1 - {1 - worst_fidelity:.2e}"
+    )
+
+
+def test_criterion_7_prep_compiler_sampled_n3(design3):
+    """A seeded sample of 2000 n = 3 programs reaches fidelity >= 1 - 1e-9."""
+    rng = np.random.default_rng(7007)
+    nulls = 0
+    worst_fidelity = 1.0
+    for _ in range(2000):
+        alpha, i, beta_q = int(rng.integers(9)), int(rng.integers(8)), int(rng.integers(4))
+        a, b = sorted(int(v) for v in rng.choice(64, size=2, replace=False))
+        fid = _prep_program_fidelity(design3, alpha, i, a, b, beta_q)
+        if fid is None:
+            nulls += 1
+            continue
+        worst_fidelity = min(worst_fidelity, fid)
+        assert fid >= 1 - 1e-9
+    report(
+        f"criterion 7 (n = 3 sample) PASS: 2000 programs ({nulls} null), "
         f"worst fidelity 1 - {1 - worst_fidelity:.2e}"
     )
 

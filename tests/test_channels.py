@@ -168,6 +168,12 @@ def test_builtin_channel_zoo():
         builtin_channel("noisy_uc", {"p": 1.5})
     with pytest.raises(ValueError, match="unexpected parameters"):
         builtin_channel("identity", {"n": 1, "bogus": 2})
+    with pytest.raises(ValueError, match="channel 'noisy_uc' requires parameter 'p'"):
+        builtin_channel("noisy_uc")
+    with pytest.raises(ValueError, match="channel 'polarization_unitary' requires parameter 'theta'"):
+        builtin_channel("polarization_unitary", {"axis": "x"})
+    with pytest.raises(ValueError, match="parameter 'p' must be a number"):
+        builtin_channel("depolarizing", {"p": None})
 
 
 def test_noisy_uc_is_dephasing_mixture():

@@ -171,3 +171,51 @@ def test_unknown_config_key_rejected(tmp_path):
     config.write_text(json.dumps({"bogus": 1}))
     code = main(["validate", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ([1, 2], "config document must be a JSON object"),
+        ({"seed": "x"}, "config key 'seed' must be an integer"),
+        ({"m": "5"}, "config key 'm' must be an integer or null"),
+        ({"shots": True}, "config key 'shots' must be an integer or 'exact'"),
+        ({"channel": "identity"}, "config key 'channel' must be an object"),
+        ({"channel": {"kraus": [[1, 0]]}}, "channel 'kraus' must be a list of square matrices"),
+        (
+            {"channel": {"kraus": [[[[1, 0], [0]], [[0, 0], [1, 0]]]]}},
+            "channel 'kraus' must be a list of square matrices",
+        ),
+        ({"channel": {"kraus": "I"}}, "channel 'kraus' must be a list of square matrices"),
+    ],
+)
+def test_malformed_config_documents_rejected(tmp_path, capsys, document, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(document))
+    code = main(["validate", "--config", str(config), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error: " + message)
+    assert err.count("\n") == 1
+
+
+def test_missing_channel_parameter_is_named(tmp_path, capsys):
+    code, _ = run_cli(["fidelity", "--target", "noisy_uc"], tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "configuration error: channel 'noisy_uc' requires parameter 'p'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [
+        {"kraus": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]},
+        {"name": "depolarizing", "params": {"p": 0.3}},
+    ],
+)
+def test_channel_config_shapes_accepted(tmp_path, channel):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 1, "channel": channel}))
+    code = main(["validate", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 0

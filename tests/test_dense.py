@@ -98,6 +98,10 @@ def test_basis_probabilities_uc_output_in_entangled_basis(design2, uc_channel):
         for i in range(4)
     ]
     assert np.allclose(probs, oracle, atol=1e-12)
+    # the basis unitary may stand in for its circuit, checked by shape
+    assert np.array_equal(basis_probabilities(rho, unitary), probs)
+    with pytest.raises(ValueError, match="4x4 basis unitary"):
+        basis_probabilities(rho, unitary[:2, :2])
     assert np.sum(probs) == pytest.approx(1.0, abs=1e-10)
 
 

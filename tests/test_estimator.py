@@ -1,10 +1,15 @@
 """Element estimation, sampling statistics, dedup and fidelity traces."""
+import collections
+import sys
+
 import numpy as np
 import pytest
 
 from seqpt import (
+    CliffordCircuit,
     SamplingPlan,
     TargetSupport,
+    build_design,
     builtin_channel,
     chi_from_kraus,
     enumerate_settings,
@@ -294,3 +299,48 @@ def test_fidelity_with_shots_has_running_uncertainty(design2, uc_channel):
     result, _ = fidelity_to_target(uc_channel, target, plan, design2)
     assert result.std_error > 0.0
     assert result.value.real == pytest.approx(1.0, abs=5 * result.std_error + 0.02)
+
+
+def _count_calls(monkeypatch) -> collections.Counter:
+    """Count calls to the simulation and compilation entry points, wrapped in
+    every seqpt module that imported them by name."""
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module_name, name in (
+        ("seqpt.dense", "basis_probabilities"),
+        ("seqpt.circuits", "compile_prep"),
+        ("seqpt.circuits", "apply_circuit"),
+        ("seqpt.mub", "translate"),
+    ):
+        original = getattr(sys.modules[module_name], name)
+        for holder_name, holder in list(sys.modules.items()):
+            if holder_name.split(".")[0] == "seqpt" and getattr(holder, name, None) is original:
+                monkeypatch.setattr(holder, name, counted(name, original))
+    monkeypatch.setattr(CliffordCircuit, "unitary", counted("unitary", CliffordCircuit.unitary))
+    return counts
+
+
+def test_full_tomography_compiles_nothing_per_use(monkeypatch):
+    # A fresh design, so no basis has its unitary or table cached yet.
+    design = build_design(2)
+    counts = _count_calls(monkeypatch)
+    full_tomography(random_channel(2, 2, seed=41), SamplingPlan(m=20), design)
+    assert counts["basis_probabilities"] == 140
+    assert counts["compile_prep"] == counts["apply_circuit"] == counts["translate"] == 0
+    assert counts["unitary"] <= 5
+
+
+def test_n3_element_builds_each_basis_unitary_once(monkeypatch):
+    design = build_design(3)
+    counts = _count_calls(monkeypatch)
+    plan = SamplingPlan(m=12, shots=1000, seed=5)
+    estimate_element(random_channel(3, 2, seed=42), "XYZ", "ZIY", plan, design)
+    assert counts["compile_prep"] == counts["apply_circuit"] == counts["translate"] == 0
+    assert counts["unitary"] <= 9

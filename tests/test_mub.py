@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 
 from seqpt import (
+    PauliOperator,
     build_design,
+    conjugate_pauli,
     design_state,
     frame_potential,
     pauli_from_index,
@@ -15,7 +17,7 @@ from seqpt import (
 )
 from seqpt.errors import UnsupportedSizeError
 from seqpt.mub import subgroup_indices
-from seqpt.paulis import commutes
+from seqpt.paulis import commutes, pauli_masks
 
 
 def test_single_qubit_basis_order(design1):
@@ -111,6 +113,9 @@ def test_translate_examples(design2):
     assert (i_prime, phase) == (2, 1.0 + 0.0j)
     i_prime, phase = translate(design2, 0, 1, pauli_from_label("ZZ"))
     assert (i_prime, phase) == (1, -1.0 + 0.0j)
+    # a phase on the operator carries through: (i XI)|00> = i|10>
+    i_prime, phase = translate(design2, 0, 0, PauliOperator(2, (1, 0), (0, 0), 1))
+    assert (i_prime, phase) == (2, 1j)
 
 
 def test_translate_exhaustive_n2(design2):
@@ -122,6 +127,32 @@ def test_translate_exhaustive_n2(design2):
                 target = design_state(design2, alpha, i_prime).amplitudes
                 moved = pauli_to_matrix(pauli_from_index(a, 2)) @ phi
                 assert np.max(np.abs(moved - phase * target)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_translation_table_is_exact(n, design1, design2, design3):
+    # every cached image is the circuit conjugation C^dag E_a C, and the
+    # (i', k) it gives satisfies U^dag E_a U |i> = i**k |i'> densely
+    design = {1: design1, 2: design2, 3: design3}[n]
+    d = design.dim
+    for basis in design.bases:
+        unitary = basis.unitary
+        for a in range(4**n):
+            op = pauli_from_index(a, n)
+            assert basis.image(a) == pauli_masks(conjugate_pauli(basis.circuit, op, "reverse"))
+            moved = unitary.conj().T @ pauli_to_matrix(op) @ unitary
+            expected = np.zeros((d, d), dtype=complex)
+            for i in range(d):
+                i_prime, k = basis.apply_pauli(op, i)
+                expected[i_prime, i] = 1j**k
+            assert np.max(np.abs(moved - expected)) < 1e-12
+
+
+def test_basis_caches_are_read_only(design2):
+    basis = design2.bases[3]
+    assert basis.unitary is basis.unitary
+    with pytest.raises(ValueError):
+        basis.unitary[0, 0] = 0.0
 
 
 def test_translate_index_is_anticommutation_pattern(design2):
