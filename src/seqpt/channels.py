@@ -62,15 +62,17 @@ class QuantumChannel:
             mat = np.array(k, dtype=complex)
             if mat.shape != (d, d):
                 raise ValueError(f"Kraus operator has shape {mat.shape}, expected {(d, d)}")
+            if not np.all(np.isfinite(mat)):
+                raise ValueError("Kraus operators must have finite entries")
             mat.flags.writeable = False
             mats.append(mat)
             total += mat.conj().T @ mat
         if not mats:
             raise ValueError("a channel requires at least one Kraus operator")
-        if np.max(np.abs(total - np.eye(d))) > TP_ATOL:
+        tp_error = np.max(np.abs(total - np.eye(d)))
+        if not tp_error <= TP_ATOL:
             raise NumericalIntegrityError(
-                "Kraus operators are not trace preserving: "
-                f"max |sum A^dag A - I| = {np.max(np.abs(total - np.eye(d)))}"
+                f"Kraus operators are not trace preserving: max |sum A^dag A - I| = {tp_error}"
             )
         object.__setattr__(self, "kraus", tuple(mats))
 
@@ -89,9 +91,10 @@ class ChiMatrix:
         if mat.shape != (dd, dd):
             raise ValueError(f"expected a {dd}x{dd} matrix, got {mat.shape}")
         if self.validate:
-            if np.max(np.abs(mat - mat.conj().T)) > TP_ATOL:
+            # Written as "not err <= tol" so that NaN fails every check.
+            if not np.max(np.abs(mat - mat.conj().T)) <= TP_ATOL:
                 raise NumericalIntegrityError("chi matrix is not Hermitian")
-            if abs(np.trace(mat).real - 1.0) > 1e-9:
+            if not abs(np.trace(mat).real - 1.0) <= 1e-9:
                 raise NumericalIntegrityError(f"chi trace is {np.trace(mat)}, expected 1")
             low = float(np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2)))
             if low < -1e-9:
@@ -99,7 +102,7 @@ class ChiMatrix:
             basis, _ = pauli_basis(self.n)
             # sum_ab chi_ab E_b^dag E_a with Hermitian E_b.
             resolved = np.einsum("ab,bij,ajk->ik", mat, basis, basis, optimize=True)
-            if np.max(np.abs(resolved - np.eye(2**self.n))) > 1e-9:
+            if not np.max(np.abs(resolved - np.eye(2**self.n))) <= 1e-9:
                 raise NumericalIntegrityError("chi matrix is not trace preserving")
         mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
@@ -172,10 +175,14 @@ def builtin_channel(name: str, params: Optional[dict] = None) -> QuantumChannel:
             if default is None:
                 raise ValueError(f"channel {name!r} requires parameter {key!r}")
             return default
+        value = params.pop(key)
         try:
-            return convert(params.pop(key))
+            number = float(value)
         except (TypeError, ValueError):
             raise ValueError(f"channel {name!r} parameter {key!r} must be a number") from None
+        if not math.isfinite(number):
+            raise ValueError(f"channel {name!r} parameter {key!r} must be finite, got {value}")
+        return convert(value)
 
     def take_prob(key: str = "p") -> float:
         p = take(key)

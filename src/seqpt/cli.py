@@ -121,7 +121,10 @@ def _build_channel(spec: dict, n: int) -> QuantumChannel:
     if name is None:
         raise ValueError("channel spec requires a 'name' or explicit 'kraus'")
     if name in ("identity", "depolarizing"):
-        params.setdefault("n", n)
+        # Checked before building: these channels grow as 4**n.
+        requested = params.setdefault("n", n)
+        if requested != n:
+            raise ValueError(f"channel {name!r} acts on {requested} qubits, config says {n}")
     channel = builtin_channel(name, params)
     if channel.n != n:
         raise ValueError(f"channel {name!r} acts on {channel.n} qubits, config says {n}")

@@ -41,7 +41,7 @@ class StateVector:
             )
         if self.is_normalized:
             norm_sq = float(np.sum(np.abs(amps) ** 2))
-            if abs(norm_sq - 1.0) > 1e-9:
+            if not abs(norm_sq - 1.0) <= 1e-9:
                 raise ValueError(f"state is not normalized: |amps|^2 = {norm_sq}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -88,9 +88,10 @@ class DensityMatrix:
         if mat.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} matrix, got {mat.shape}")
         if self.validate:
-            if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_ATOL:
+            # Written as "not err <= tol" so that NaN fails every check.
+            if not np.max(np.abs(mat - mat.conj().T)) <= HERMITICITY_ATOL:
                 raise NumericalIntegrityError("density matrix is not Hermitian")
-            if abs(np.trace(mat) - 1.0) > HERMITICITY_ATOL:
+            if not abs(np.trace(mat) - 1.0) <= HERMITICITY_ATOL:
                 raise NumericalIntegrityError(
                     f"density matrix trace is {np.trace(mat)}, expected 1"
                 )
@@ -148,7 +149,7 @@ def basis_probabilities(
             raise ValueError(f"qubit counts differ: {rho.n} vs {basis.n}")
         unitary = basis.unitary()
     probs = np.real(np.einsum("ji,jk,ki->i", unitary.conj(), rho.entries, unitary))
-    if abs(float(np.sum(probs)) - 1.0) > HERMITICITY_ATOL:
+    if not abs(float(np.sum(probs)) - 1.0) <= HERMITICITY_ATOL:
         raise NumericalIntegrityError(
             f"basis probabilities sum to {np.sum(probs)}, expected 1"
         )

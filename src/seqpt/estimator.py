@@ -18,13 +18,27 @@ a combination pinned against the exact ground truth by the test suite.
 Sampling m of the K states without replacement gives the finite-population
 error sigma_pop * sqrt((1/m)(1 - (m-1)/(K-1))), which vanishes at m = K.
 
-No circuit is compiled or simulated here.  Each use comes from integer
-operations on the basis translation table (E_a|phi_i> = i**k |phi_i'>, see
-:meth:`seqpt.mub.MubBasis.image`): the preparation (E_a + e^{i beta} E_b)
-|phi_i> is |phi_m> + i**gamma |phi_n_idx> up to a phase, with m = i' of E_a
-and n_idx = i' of E_b.  Each setting's state is one column, or the
-normalized sum of two columns, of the cached basis unitary, which also
-measures it.
+No circuit is compiled and no per-use object is built.  A batch of E
+elements is worked one basis at a time, over integer arrays shaped
+(E, D, 4): element, state i of the basis, and preparation slot, the four
+beta of the combination above in its order.  The basis translation table
+(E_a|phi_i> = i**k |phi_i'>, see :meth:`seqpt.mub.MubBasis.image`), read
+only for the Paulis the batch names, gives m = i' of E_a, n_idx = i' of
+E_b and both phase powers with integer operations.  The preparation
+(E_a + e^{i beta} E_b)|phi_i> is |phi_m> + i**gamma |phi_n_idx> up to a
+phase, so each slot holds
+
+* a folded weight, the combination coefficient times the squared norm;
+* an integer setting code: m for a single design state, or
+  D + 4 (lo D + hi) + gamma' for the pair written with lo < hi.
+
+A diagonal element, or an off-diagonal one whose two translations land on
+one state, has a single setting per state: slot 0 holds the merged weight
+and the other slots are padding with weight 0.  Each distinct code of a
+basis is simulated once.  Its state is one column, or the normalized sum of
+two columns, of the cached basis unitary, which also measures it.  The
+probabilities are then gathered back into the populations f_j, the shot
+variances and the fidelity coefficients.
 
 Determinism contract: probabilities are memoized per experimental setting and
 shot noise uses an RNG substream derived from (master seed, canonical setting
@@ -43,11 +57,11 @@ import numpy as np
 
 from .channels import QuantumChannel, ChiMatrix, TargetSupport, apply_channel, pauli_basis
 from .dense import DensityMatrix, StateVector, basis_probabilities
-from .mub import MubDesign, superposition_norm
+from .mub import MubBasis, MubDesign, superposition_norm
 from .paulis import (
+    PauliIndex,
     PauliLike,
     as_pauli,
-    masked_action,
     pauli_from_index,
     pauli_label,
     pauli_to_index,
@@ -65,6 +79,28 @@ _OFFDIAG_PREPS = (
     (3, 0.0 - 0.25j),   # E_a - i E_b   (the + branch of the imaginary pair)
     (1, 0.0 + 0.25j),   # E_a + i E_b
 )
+_BETA_QUARTERS = np.array([beta_q for beta_q, _ in _OFFDIAG_PREPS])
+_FIRST_SLOT = np.arange(len(_OFFDIAG_PREPS)) == 0
+# Distinct translated states: every preparation has squared norm 2.
+_PAIR_WEIGHTS = np.array(
+    [coeff * superposition_norm(0, 1, beta_q) for beta_q, coeff in _OFFDIAG_PREPS]
+)
+
+
+def _merged_single_weight(delta: int) -> complex:
+    """Weight of the one setting left when E_a and E_b translate state i to
+    the same state, for phase-power difference delta; the preparation with
+    zero norm drops out and the others merge in slot order."""
+    merged = None
+    for beta_q, coeff in _OFFDIAG_PREPS:
+        squared_norm = superposition_norm(0, 0, beta_q + delta)
+        if squared_norm:
+            weight = coeff * squared_norm
+            merged = weight if merged is None else merged + weight
+    return merged
+
+
+_SINGLE_WEIGHTS = np.array([_merged_single_weight(delta) for delta in range(4)])
 
 
 @dataclass(frozen=True)
@@ -105,29 +141,22 @@ class SamplingPlan:
 
 @dataclass(frozen=True)
 class ExperimentSetting:
-    """One use of a physical (preparation, measurement basis) pair.
+    """One use of a physical (preparation, measurement basis) pair, as
+    :meth:`ExperimentBackend.element_uses` reports it.
 
-    ``canonical_key`` identifies the physical setting: two uses share a key
-    exactly when the prepared state (up to a global phase) and the
-    measurement basis coincide.  ``weight`` is the squared norm of the raw
-    preparation and belongs to the use, not the setting.
+    ``canonical_key`` identifies the physical setting: ``(alpha, "s", m)``
+    is state m of basis alpha and ``(alpha, "p", lo, hi, gamma)`` is
+    (|phi_lo> + i**gamma |phi_hi>)/sqrt(2) with lo < hi, measured in basis
+    alpha.  Two uses share a key exactly when the prepared state (up to a
+    global phase) and the measurement basis coincide.  ``outcome`` is the
+    basis state whose probability the use reads; ``weight`` is the squared
+    norm of the raw preparation times its combination coefficient and
+    belongs to the use, not the setting.
     """
 
-    alpha: int
-    kind: str  # "single" or "pair"
-    m: int
-    n_idx: int
-    gamma_quarters: int
+    canonical_key: tuple
     outcome: int
-    weight: complex  # squared norm times the combination coefficient
-
-    @property
-    def canonical_key(self) -> tuple:
-        if self.kind == "single":
-            return (self.alpha, "s", self.m)
-        if self.m <= self.n_idx:
-            return (self.alpha, "p", self.m, self.n_idx, self.gamma_quarters)
-        return (self.alpha, "p", self.n_idx, self.m, (-self.gamma_quarters) % 4)
+    weight: complex
 
 
 @dataclass(frozen=True)
@@ -161,6 +190,96 @@ def _key_rng(master_seed: int, key: tuple) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, *map(int, words)]))
 
 
+def _code_count(d: int) -> int:
+    """Setting codes per basis: D single states plus 4 phases of each
+    ordered index pair (only lo < hi is used)."""
+    return d + 4 * d * d
+
+
+def _setting_key(alpha: int, code: int, d: int) -> tuple:
+    """The canonical setting key that setting code ``code`` of basis alpha
+    names (see :class:`ExperimentSetting`)."""
+    if code < d:
+        return (alpha, "s", code)
+    pair, gamma_q = divmod(code - d, 4)
+    lo, hi = divmod(pair, d)
+    return (alpha, "p", lo, hi, gamma_q)
+
+
+def _distinct_settings(alpha: int, codes: np.ndarray, d: int) -> tuple[np.ndarray, list[tuple]]:
+    """The distinct setting codes among ``codes`` of basis alpha, ascending,
+    and their keys."""
+    live = np.flatnonzero(np.bincount(codes.ravel(), minlength=_code_count(d)))
+    return live, [_setting_key(alpha, code, d) for code in live.tolist()]
+
+
+def _pauli_parts(op: PauliLike, n: int) -> tuple[int, int]:
+    """(Pauli index, phase power) of an element's operator."""
+    if isinstance(op, (int, np.integer)):
+        return PauliIndex(int(op), n).value, 0
+    p = as_pauli(op, n)
+    return pauli_to_index(p).value, p.phase_power
+
+
+class _ElementBatch:
+    """A batch of chi elements (a, b) as integer arrays; ``uses`` derives the
+    uses of one basis for all of them (see the module docstring)."""
+
+    def __init__(self, design: MubDesign, elements: Sequence[tuple[PauliLike, PauliLike]]):
+        self.design = design
+        parts = np.array(
+            [[_pauli_parts(op, design.n) for op in element] for element in elements], dtype=int
+        ).reshape(-1, 2, 2)
+        index, self.phase = parts[..., 0], parts[..., 1]
+        self.diagonal = (index[:, 0] == index[:, 1]) & (self.phase[:, 0] == self.phase[:, 1])
+        # Only the Paulis the batch names are looked up in the tables.
+        self.paulis, rows = np.unique(index, return_inverse=True)
+        self.rows = rows.reshape(index.shape)
+        self.popcount = np.array([v.bit_count() for v in range(design.dim)])
+
+    def __len__(self) -> int:
+        return len(self.diagonal)
+
+    def uses(self, basis: MubBasis) -> tuple[np.ndarray, np.ndarray]:
+        """``(codes, weights)`` of every use in the basis, both shaped
+        (element, state, slot); padding slots repeat slot 0's code."""
+        d = self.design.dim
+        states = np.arange(d)
+        images = np.array([basis.image(a) for a in self.paulis.tolist()], dtype=int)
+        xmask, zmask, phase = images.reshape(-1, 3).T
+        # The translation rule for every looked-up Pauli and state at once:
+        # X bits flip i, Y factors give i, Z or Y factors on set bits give -1.
+        moved = xmask[:, None] ^ states
+        power = (
+            phase[:, None]
+            + self.popcount[xmask & zmask][:, None]
+            + 2 * self.popcount[zmask[:, None] & states]
+        )
+        m, n_idx = moved[self.rows[:, 0]], moved[self.rows[:, 1]]
+        delta = (
+            power[self.rows[:, 1]] + self.phase[:, 1:] - power[self.rows[:, 0]] - self.phase[:, :1]
+        ) % 4
+        pair = (m != n_idx) & ~self.diagonal[:, None]
+        gamma_q = (delta[..., None] + _BETA_QUARTERS) % 4
+        lo, hi = np.minimum(m, n_idx)[..., None], np.maximum(m, n_idx)[..., None]
+        canonical_gamma = np.where((m < n_idx)[..., None], gamma_q, -gamma_q % 4)
+        codes = np.where(pair[..., None], d + 4 * (lo * d + hi) + canonical_gamma, m[..., None])
+        single = np.where(self.diagonal[:, None], 1.0 + 0.0j, _SINGLE_WEIGHTS[delta])
+        weights = np.where(
+            pair[..., None], _PAIR_WEIGHTS, np.where(_FIRST_SLOT, single[..., None], 0.0)
+        )
+        return codes, weights
+
+
+def _sum_slots(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last (slot) axis left to right, starting from zero, so
+    zero-weight padding slots leave the sum unchanged."""
+    total = np.zeros(terms.shape[:-1], dtype=terms.dtype)
+    for slot in range(terms.shape[-1]):
+        total += terms[..., slot]
+    return total
+
+
 class ExperimentBackend:
     """Simulates the experiment: prepares settings, applies the channel and
     measures design-basis probabilities, memoized per canonical setting key.
@@ -185,7 +304,6 @@ class ExperimentBackend:
         self.seed = seed
         self._exact: dict[tuple, np.ndarray] = {}
         self._sampled: dict[tuple, np.ndarray] = {}
-        self._uses: dict[tuple, tuple[tuple[ExperimentSetting, ...], ...]] = {}
 
     @property
     def exact_shots(self) -> bool:
@@ -227,94 +345,114 @@ class ExperimentBackend:
             self._sampled[key] = probs
         return probs
 
+    def simulate(self, alpha: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+        """Exact and measured probabilities of basis alpha's settings, one
+        row per setting code (rows of codes not in ``codes`` stay zero), and
+        the keys of the distinct settings, each simulated once."""
+        d = self.design.dim
+        live, keys = _distinct_settings(alpha, codes, d)
+        exact = np.zeros((_code_count(d), d))
+        exact[live] = [self.exact_probabilities(key) for key in keys]
+        if self.exact_shots:
+            return exact, exact, keys
+        measured = np.zeros_like(exact)
+        measured[live] = [self.outcome_probabilities(key) for key in keys]
+        return exact, measured, keys
+
     def element_uses(self, a: PauliLike, b: PauliLike) -> tuple[tuple[ExperimentSetting, ...], ...]:
-        """Per design state, the (deduplicated within the state) uses needed
-        for element (a, b); cached per element."""
-        pa = as_pauli(a, self.design.n)
-        pb = as_pauli(b, self.design.n)
-        ia, ib = pauli_to_index(pa).value, pauli_to_index(pb).value
-        uses = self._uses.get((ia, ib))
-        if uses is None:
-            uses = []
-            for basis in self.design.bases:
-                xa, za, phase_a = basis.image(ia)
-                xb, zb, phase_b = basis.image(ib)
-                image_a = (xa, za, phase_a + pa.phase_power)
-                image_b = (xb, zb, phase_b + pb.phase_power)
-                uses.extend(
-                    _state_uses(basis.alpha, i, image_a, image_b, pa == pb)
-                    for i in range(self.design.dim)
-                )
-            uses = self._uses[(ia, ib)] = tuple(uses)
-        return uses
+        """Per design state, the uses element (a, b) needs: an inspection
+        view decoded from the arrays the estimator reduces."""
+        batch = _ElementBatch(self.design, [(a, b)])
+        d = self.design.dim
+        uses = []
+        for basis in self.design.bases:
+            codes, weights = batch.uses(basis)
+            for i in range(d):
+                uses.append(tuple(
+                    ExperimentSetting(_setting_key(basis.alpha, code, d), i, weight)
+                    for code, weight in zip(codes[0, i].tolist(), weights[0, i].tolist())
+                    if weight
+                ))
+        return tuple(uses)
 
 
-def _state_uses(alpha, i, image_a, image_b, diagonal) -> tuple[ExperimentSetting, ...]:
-    """Experiment uses contributing to f_j for design state (alpha, i).
-
-    ``image_a``/``image_b`` are the basis's translation-table entries for
-    E_a and E_b, so E_a|phi_i> = i**power_a |phi_m> and E_b|phi_i> =
-    i**power_b |phi_n_idx>.  The returned weights fold the +-1/4 (and -+i/4)
-    combination coefficients into the preparation norms, so f_j is just
-    sum(weight * probability).  Null preparations are dropped; uses that
-    share a physical setting within the state are merged.
-    """
-    m, power_a = masked_action(*image_a, i)
-    if diagonal:
-        return (ExperimentSetting(alpha, "single", m, m, 0, i, 1.0 + 0.0j),)
-    n_idx, power_b = masked_action(*image_b, i)
-    kind = "single" if m == n_idx else "pair"
-    merged: dict[tuple, ExperimentSetting] = {}
-    for beta_q, coeff in _OFFDIAG_PREPS:
-        gamma_q = (beta_q + power_b - power_a) % 4
-        squared_norm = superposition_norm(m, n_idx, gamma_q)
-        if squared_norm == 0.0:
-            continue
-        use = ExperimentSetting(alpha, kind, m, n_idx, gamma_q, i, coeff * squared_norm)
-        key = use.canonical_key
-        if key in merged:
-            prev = merged[key]
-            merged[key] = ExperimentSetting(
-                prev.alpha, prev.kind, prev.m, prev.n_idx, prev.gamma_quarters,
-                prev.outcome, prev.weight + use.weight,
+def _populations(
+    backend: ExperimentBackend, batch: _ElementBatch
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple]]:
+    """Per element (row) and design state (column, basis-major): the exact
+    f_j, the measured f_j and the exact binomial variance of the measured
+    f_j (zero for exact probabilities); plus the keys of the settings
+    simulated."""
+    design = backend.design
+    d = design.dim
+    shape = (len(batch), design.size)
+    exact = np.empty(shape, dtype=complex)
+    measured = exact if backend.exact_shots else np.empty(shape, dtype=complex)
+    shot_var = np.zeros(shape)
+    outcome = np.arange(d)[:, None]
+    keys = []
+    for basis in design.bases:
+        codes, weights = batch.uses(basis)
+        exact_p, measured_p, basis_keys = backend.simulate(basis.alpha, codes)
+        keys += basis_keys
+        states = slice(basis.alpha * d, (basis.alpha + 1) * d)
+        p = exact_p[codes, outcome]
+        exact[:, states] = _sum_slots(weights * p)
+        if not backend.exact_shots:
+            measured[:, states] = _sum_slots(weights * measured_p[codes, outcome])
+            shot_var[:, states] = _sum_slots(
+                np.abs(weights) ** 2 * p * (1.0 - p) / float(backend.shots)
             )
-        else:
-            merged[key] = use
-    return tuple(merged.values())
+    return exact, measured, shot_var, keys
 
 
-def _population(backend: ExperimentBackend, a: PauliLike, b: PauliLike, sampled: bool) -> np.ndarray:
-    """f_j for every design state, in canonical (basis-major) order."""
-    uses_per_state = backend.element_uses(a, b)
-    values = np.zeros(len(uses_per_state), dtype=complex)
-    probs_of = backend.outcome_probabilities if sampled else backend.exact_probabilities
-    for j, uses in enumerate(uses_per_state):
-        total = 0.0 + 0.0j
-        for use in uses:
-            total += use.weight * probs_of(use.canonical_key)[use.outcome]
-        values[j] = total
-    return values
+def _prefix_means(values: np.ndarray, sampled_ids: Sequence[int]) -> np.ndarray:
+    """Column t-1 holds each row's mean over the first t sampled states,
+    summed in canonical state order.  ``take`` keeps each prefix row
+    contiguous, so every row is reduced as a 1-d sum would be."""
+    means = np.empty((values.shape[0], len(sampled_ids)), dtype=values.dtype)
+    for t in range(1, len(sampled_ids) + 1):
+        means[:, t - 1] = values.take(sorted(sampled_ids[:t]), axis=1).sum(axis=1) / t
+    return means
 
 
-def _shot_variances(backend: ExperimentBackend, a: PauliLike, b: PauliLike) -> np.ndarray:
-    """Exact binomial variance of each f_j estimate at the backend's shot
-    count (zero for exact probabilities)."""
-    uses_per_state = backend.element_uses(a, b)
-    variances = np.zeros(len(uses_per_state))
-    if backend.exact_shots:
-        return variances
-    shots = float(backend.shots)
-    for j, uses in enumerate(uses_per_state):
-        var = 0.0
-        for use in uses:
-            p = float(backend.exact_probabilities(use.canonical_key)[use.outcome])
-            var += abs(use.weight) ** 2 * p * (1.0 - p) / shots
-        variances[j] = var
-    return variances
+def _affine_to_chi(mean_f, delta, d: int):
+    """chi from the mean population; delta is 1.0 for a diagonal element."""
+    return ((d + 1.0) * mean_f - delta) / d
 
 
-def _affine_to_chi(mean_f: complex, diagonal: bool, d: int) -> complex:
-    return ((d + 1.0) * mean_f - (1.0 if diagonal else 0.0)) / d
+def _estimate_batch(
+    backend: ExperimentBackend, batch: _ElementBatch, plan: SamplingPlan
+) -> tuple[list[EstimationResult], list[tuple]]:
+    """Estimates of every element of the batch from one pass over the
+    design, and the keys of the settings simulated."""
+    design = backend.design
+    k = design.size
+    if plan.m > k:
+        raise ValueError(f"plan.m = {plan.m} exceeds the design size {k}")
+    d = design.dim
+    exact, measured, shot_var, keys = _populations(backend, batch)
+    sampled_ids = plan.sample_order(k)[: plan.m]
+    delta = batch.diagonal.astype(float)[:, None]
+    trace = _affine_to_chi(_prefix_means(measured, sampled_ids), delta, d)
+
+    scale = (d + 1.0) / d
+    pop_var = np.mean(np.abs(exact - np.mean(exact, axis=1, keepdims=True)) ** 2, axis=1)
+    variance = scale**2 * pop_var * error_bound(plan.m, k) ** 2
+    variance += scale**2 * np.mean(shot_var, axis=1) / plan.m
+    steps = range(1, plan.m + 1)
+    results = [
+        EstimationResult(
+            value=row[-1],
+            std_error=std_error,
+            m_used=plan.m,
+            k_total=k,
+            trace=tuple(zip(steps, row)),
+            seed=plan.seed,
+        )
+        for row, std_error in zip(trace.tolist(), np.sqrt(variance).tolist())
+    ]
+    return results, keys
 
 
 def exact_element(
@@ -327,10 +465,9 @@ def exact_element(
     """chi_ab from the full K-term 2-design sum with exact probabilities."""
     if backend is None:
         backend = ExperimentBackend(channel, design)
-    pa = as_pauli(a, design.n)
-    pb = as_pauli(b, design.n)
-    population = _population(backend, pa, pb, sampled=False)
-    return _affine_to_chi(complex(np.mean(population)), pa == pb, design.dim)
+    batch = _ElementBatch(design, [(a, b)])
+    mean_f = np.mean(_populations(backend, batch)[0], axis=1)
+    return complex(_affine_to_chi(mean_f, batch.diagonal.astype(float), design.dim)[0])
 
 
 def estimate_element(
@@ -347,42 +484,10 @@ def estimate_element(
     the sampled mean (population sigma times :func:`error_bound`), plus the
     binomial shot-noise contribution when the plan uses finite shots.
     """
-    k = design.size
-    if plan.m > k:
-        raise ValueError(f"plan.m = {plan.m} exceeds the design size {k}")
     if backend is None:
         backend = ExperimentBackend(channel, design, plan.shots, plan.seed)
-    pa = as_pauli(a, design.n)
-    pb = as_pauli(b, design.n)
-    diagonal = pa == pb
-    d = design.dim
-
-    order = plan.sample_order(k)
-    sampled_ids = order[: plan.m]
-    measured = _population(backend, pa, pb, sampled=True) if not backend.exact_shots else None
-    exact_pop = _population(backend, pa, pb, sampled=False)
-    observed = measured if measured is not None else exact_pop
-
-    trace = []
-    for t in range(1, plan.m + 1):
-        prefix = sorted(sampled_ids[:t])
-        mean_f = complex(np.sum(observed[prefix]) / t)
-        trace.append((t, _affine_to_chi(mean_f, diagonal, d)))
-    value = trace[-1][1]
-
-    scale = (d + 1.0) / d
-    pop_var = float(np.mean(np.abs(exact_pop - np.mean(exact_pop)) ** 2))
-    variance = scale**2 * pop_var * error_bound(plan.m, k) ** 2
-    shot_var = _shot_variances(backend, pa, pb)
-    variance += scale**2 * float(np.mean(shot_var)) / plan.m
-    return EstimationResult(
-        value=value,
-        std_error=float(np.sqrt(variance)),
-        m_used=plan.m,
-        k_total=k,
-        trace=tuple(trace),
-        seed=plan.seed,
-    )
+    results, _ = _estimate_batch(backend, _ElementBatch(design, [(a, b)]), plan)
+    return results[0]
 
 
 @dataclass(frozen=True)
@@ -410,33 +515,28 @@ class SettingsReport:
         }
 
 
-def enumerate_settings(
-    elements: Sequence[tuple[PauliLike, PauliLike]],
-    design: MubDesign,
-    backend: Optional[ExperimentBackend] = None,
-) -> SettingsReport:
-    """Generate, canonicalize and deduplicate every (preparation, measurement
-    basis) pair the given elements need."""
-    if backend is None:
-        backend = ExperimentBackend(
-            QuantumChannel(design.n, (np.eye(design.dim, dtype=complex),)), design
-        )
-    k = design.size
-    keys: set[tuple] = set()
-    parameters = 0
-    for a, b in elements:
-        pa = as_pauli(a, design.n)
-        pb = as_pauli(b, design.n)
-        parameters += 1 if pa == pb else 2
-        for uses in backend.element_uses(pa, pb):
-            keys.update(use.canonical_key for use in uses)
+def _settings_report(batch: _ElementBatch, keys: Sequence[tuple]) -> SettingsReport:
+    k = batch.design.size
+    parameters = 2 * len(batch) - int(np.count_nonzero(batch.diagonal))
     return SettingsReport(
         naive_probabilities=2 * k * parameters,
         survival_probabilities_naive=k * parameters,
         num_settings=len(keys),
-        num_probabilities=len(keys) * design.dim,
+        num_probabilities=len(keys) * batch.design.dim,
         settings=tuple(sorted(keys)),
     )
+
+
+def enumerate_settings(
+    elements: Sequence[tuple[PauliLike, PauliLike]], design: MubDesign
+) -> SettingsReport:
+    """Generate, canonicalize and deduplicate every (preparation, measurement
+    basis) pair the given elements need."""
+    batch = _ElementBatch(design, elements)
+    keys = []
+    for basis in design.bases:
+        keys += _distinct_settings(basis.alpha, batch.uses(basis)[0], design.dim)[1]
+    return _settings_report(batch, keys)
 
 
 def _element_entries(design: MubDesign) -> list[tuple[int, int]]:
@@ -459,23 +559,22 @@ def full_tomography(
     dd = design.dim**2
     chi = np.zeros((dd, dd), dtype=complex)
     elements = _element_entries(design)
-    per_element = []
-    for a, b in elements:
-        result = estimate_element(channel, a, b, plan, design, backend=backend)
+    batch = _ElementBatch(design, elements)
+    results, keys = _estimate_batch(backend, batch, plan)
+    for (a, b), result in zip(elements, results):
         if a == b:
             chi[a, a] = result.value.real
         else:
             chi[a, b] = result.value
             chi[b, a] = np.conj(result.value)
-        per_element.append(((a, b), result))
-    dedup = enumerate_settings(elements, design, backend=backend)
+    dedup = _settings_report(batch, keys)
     _, labels = pauli_basis(design.n)
     report = {
         "n": design.n,
         "plan": _plan_dict(plan),
         "dedup": dedup.as_dict(),
         "elements": [
-            _element_report(design.n, a, b, result) for (a, b), result in per_element
+            _element_report(design.n, a, b, result) for (a, b), result in zip(elements, results)
         ],
     }
     if design.n == 2:
@@ -500,6 +599,13 @@ def _element_report(n: int, a: int, b: int, result: EstimationResult) -> dict:
         "trace": [[t, v.real, v.imag] for t, v in result.trace],
         "seed": result.seed,
     }
+
+
+def _sum_by_state(terms: np.ndarray, state: np.ndarray, d: int) -> np.ndarray:
+    """Per basis state, the sum of its terms in the order given, from zero."""
+    total = np.zeros(d)
+    np.add.at(total, state, terms)
+    return total
 
 
 def fidelity_to_target(
@@ -527,64 +633,60 @@ def fidelity_to_target(
         raise ValueError(f"plan.m = {plan.m} exceeds the design size {k}")
     d = design.dim
     scale = (d + 1.0) / d
+    nc = _code_count(d)
 
     diag = [(a, value.real) for (a, b), value in target.entries.items() if a == b]
     pairs = [((a, b), value) for (a, b), value in target.entries.items() if a < b]
-    elements = [(a, a) for a, _ in diag] + [pair for pair, _ in pairs]
+    batch = _ElementBatch(design, [(a, a) for a, _ in diag] + [pair for pair, _ in pairs])
+    # weight * (scale * f_j - 1/d) for a diagonal entry and 2 Re(value *
+    # scale * f_j) for a pair distribute onto the use weights w as the
+    # coefficients weight * scale * Re(w) and 2 scale Re(value * w).
+    diag_scale = np.array([weight * scale for _, weight in diag])[:, None, None]
+    pair_values = np.array([value for _, value in pairs], dtype=complex)[:, None, None]
+    offset = 0.0
+    for _, weight in diag:
+        offset -= weight / d
 
-    # Per design state, fold every element contribution into one real
-    # coefficient per (setting, outcome), so that w_j = sum c * probability.
-    # Shared settings are merged before the variance is accumulated, which
-    # keeps the shot-noise bookkeeping exact.
-    coeff_maps: list[dict[tuple, float]] = [dict() for _ in range(k)]
-    offsets = np.zeros(k)
-
-    def accumulate(element, multiplier_for):
-        for j, uses in enumerate(backend.element_uses(*element)):
-            cmap = coeff_maps[j]
-            for use in uses:
-                c = multiplier_for(use.weight)
-                key = (use.canonical_key, use.outcome)
-                cmap[key] = cmap.get(key, 0.0) + c
-
-    for a, weight in diag:
-        # weight * (scale * f_j - 1/d); f_j coefficients are real here.
-        accumulate((a, a), lambda w, wt=weight: wt * scale * w.real)
-        offsets -= weight / d
-    for (a, b), value in pairs:
-        # 2 Re(value * scale * f_j) distributes onto the use coefficients.
-        accumulate((a, b), lambda w, v=value: 2.0 * scale * (v * w).real)
-
-    def combined(sampled: bool) -> np.ndarray:
-        probs_of = backend.outcome_probabilities if sampled else backend.exact_probabilities
-        w = offsets.copy()
-        for j, cmap in enumerate(coeff_maps):
-            w[j] += sum(c * probs_of(key)[outcome] for (key, outcome), c in cmap.items())
-        return w
-
-    exact_w = combined(sampled=False)
+    exact_w = np.empty(k)
+    observed_w = exact_w if backend.exact_shots else np.empty(k)
     shot_var = np.zeros(k)
-    if backend.exact_shots:
-        observed_w = exact_w
-    else:
-        observed_w = combined(sampled=True)
-        shots = float(backend.shots)
-        for j, cmap in enumerate(coeff_maps):
-            shot_var[j] = sum(
-                c**2
-                * float(backend.exact_probabilities(key)[outcome])
-                * (1.0 - float(backend.exact_probabilities(key)[outcome]))
-                / shots
-                for (key, outcome), c in cmap.items()
+    keys = []
+    state_major = (1, 0, 2)
+    for basis in design.bases:
+        codes, weights = batch.uses(basis)
+        exact_p, measured_p, basis_keys = backend.simulate(basis.alpha, codes)
+        keys += basis_keys
+        coeffs = np.concatenate((
+            diag_scale * weights[: len(diag)].real,
+            2.0 * scale * (pair_values * weights[len(diag):]).real,
+        ))
+        # Per state, merge the coefficients of each setting in use order,
+        # then sum w_j = sum c * probability over the state's settings in
+        # the order they are first used.  Merging before the variance is
+        # accumulated keeps the shot-noise bookkeeping exact.
+        live = (weights != 0).transpose(state_major)
+        setting = (np.arange(d)[:, None, None] * nc + codes.transpose(state_major))[live]
+        distinct, first, which = np.unique(setting, return_index=True, return_inverse=True)
+        merged = np.zeros(len(distinct))
+        np.add.at(merged, which, coeffs.transpose(state_major)[live])
+        in_use_order = np.argsort(first)
+        state, code = np.divmod(distinct[in_use_order], nc)
+        c = merged[in_use_order]
+        p = exact_p[code, state]
+        states = slice(basis.alpha * d, (basis.alpha + 1) * d)
+        exact_w[states] = offset + _sum_by_state(c * p, state, d)
+        if not backend.exact_shots:
+            observed_w[states] = offset + _sum_by_state(c * measured_p[code, state], state, d)
+            # float_power is the scalar c ** 2 (libm pow); c * c can differ in the last bit.
+            shot_var[states] = _sum_by_state(
+                np.float_power(c, 2.0) * p * (1.0 - p) / float(backend.shots), state, d
             )
 
-    order = plan.sample_order(k)
-    sampled_ids = order[: plan.m]
-    trace = []
-    for t in range(1, plan.m + 1):
-        prefix = sorted(sampled_ids[:t])
-        mean_w = float(np.sum(observed_w[prefix]) / t)
-        trace.append((t, complex((d * mean_w + 1.0) / (d + 1.0))))
+    sampled_ids = plan.sample_order(k)[: plan.m]
+    means = _prefix_means(observed_w[None, :], sampled_ids)[0].tolist()
+    trace = tuple(
+        (t, complex((d * mean_w + 1.0) / (d + 1.0))) for t, mean_w in enumerate(means, start=1)
+    )
     value = trace[-1][1].real
 
     pop_sigma = float(np.std(exact_w))
@@ -601,10 +703,10 @@ def fidelity_to_target(
         std_error=envelope_sigma(plan.m),
         m_used=plan.m,
         k_total=k,
-        trace=tuple(trace),
+        trace=trace,
         seed=plan.seed,
     )
-    dedup = enumerate_settings(elements, design, backend=backend)
+    dedup = _settings_report(batch, keys)
     report = {
         "n": design.n,
         "plan": _plan_dict(plan),

@@ -268,3 +268,15 @@ def test_chi_matrix_validation():
     ChiMatrix(1, bad_tp)  # X conjugation is still trace preserving
     with pytest.raises(NumericalIntegrityError):
         ChiMatrix(1, np.eye(4) / 2)  # trace 2
+
+
+def test_non_finite_input_rejected():
+    kraus = np.eye(2, dtype=complex)
+    kraus[0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite entries"):
+        QuantumChannel(1, (kraus,))
+    for value in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="parameter 'theta' must be finite"):
+            builtin_channel("polarization_unitary", {"theta": value})
+    with pytest.raises(NumericalIntegrityError, match="Hermitian"):
+        ChiMatrix(1, np.full((4, 4), np.nan))

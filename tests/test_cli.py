@@ -219,3 +219,54 @@ def test_channel_config_shapes_accepted(tmp_path, channel):
     config.write_text(json.dumps({"n": 1, "channel": channel}))
     code = main(["validate", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "args, document, message",
+    [
+        (
+            ["full"],
+            {
+                "n": 1,
+                "channel": {"kraus": [[[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]},
+            },
+            "Kraus operators must have finite entries",
+        ),
+        (
+            ["full", "--channel", "polarization_unitary", "--param", "theta=inf"],
+            None,
+            "channel 'polarization_unitary' parameter 'theta' must be finite, got inf",
+        ),
+        (
+            ["full", "--channel", "polarization_unitary", "--param", "theta=nan"],
+            None,
+            "channel 'polarization_unitary' parameter 'theta' must be finite, got nan",
+        ),
+        (
+            ["fidelity", "--channel", "noisy_uc", "--param", "p=NaN", "--target", "controlled_uc"],
+            None,
+            "channel 'noisy_uc' parameter 'p' must be finite, got nan",
+        ),
+    ],
+)
+def test_non_finite_input_rejected(tmp_path, capsys, args, document, message):
+    if document is not None:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(document))  # json writes NaN, and reads it back
+        args = args + ["--config", str(config)]
+    code, out = run_cli(args, tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert list(out.iterdir()) == []  # no report written
+
+
+def test_qubit_count_checked_before_channel_is_built(tmp_path, capsys, monkeypatch):
+    def refuse(name, params=None):
+        raise AssertionError("builtin_channel called before the qubit-count check")
+
+    monkeypatch.setattr("seqpt.cli.builtin_channel", refuse)
+    code, _ = run_cli(["validate", "--channel", "identity", "--param", "n=40"], tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "configuration error: channel 'identity' acts on 40 qubits, config says 2\n"
+    )

@@ -128,3 +128,13 @@ def test_density_matrix_from_raw_state_rejected():
     raw = StateVector.raw(1, [1.0, 1.0])
     with pytest.raises(ValueError, match="normalized"):
         DensityMatrix.from_state(raw)
+
+
+def test_nan_fails_density_and_probability_checks():
+    nan_rho = np.full((2, 2), np.nan, dtype=complex)
+    with pytest.raises(NumericalIntegrityError, match="Hermitian"):
+        DensityMatrix(1, nan_rho)
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector(1, [np.nan, 0.0])
+    with pytest.raises(NumericalIntegrityError, match="sum to"):
+        basis_probabilities(DensityMatrix(1, nan_rho, validate=False), np.eye(2, dtype=complex))

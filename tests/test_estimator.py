@@ -1,5 +1,6 @@
 """Element estimation, sampling statistics, dedup and fidelity traces."""
 import collections
+import json
 import sys
 
 import numpy as np
@@ -22,8 +23,16 @@ from seqpt import (
     random_channel,
 )
 from seqpt.channels import apply_channel_raw, controlled_uc_unitary
-from seqpt.estimator import ExperimentBackend, _element_entries
-from seqpt.mub import design_state
+from seqpt.estimator import (
+    _OFFDIAG_PREPS,
+    ExperimentBackend,
+    _ElementBatch,
+    _element_entries,
+    _element_report,
+    _populations,
+)
+from seqpt.mub import design_state, superposition_norm
+from seqpt.paulis import PauliOperator, as_pauli, pauli_from_index
 
 IZ, IX, ZZ, ZX = 3, 1, 15, 13  # Pauli indices used throughout
 
@@ -41,6 +50,52 @@ def eq2_design_sum(channel, a, b, design):
     d = design.dim
     delta = 1.0 if a == b else 0.0
     return ((d + 1) * f_ab - delta) / d
+
+
+def loop_population(backend, a, b, sampled):
+    """Loop reference for f_j: per design state, the uses from the
+    translation rule, merged per setting and summed in use order."""
+    design = backend.design
+    pa, pb = as_pauli(a, design.n), as_pauli(b, design.n)
+    probs_of = backend.outcome_probabilities if sampled else backend.exact_probabilities
+    values = []
+    for basis in design.bases:
+        for i in range(design.dim):
+            m, power_a = basis.apply_pauli(pa, i)
+            n_idx, power_b = basis.apply_pauli(pb, i)
+            uses = {}
+            preps = [(0, 1.0 + 0.0j)] if pa == pb else _OFFDIAG_PREPS
+            for beta_q, coeff in preps:
+                gamma_q = (beta_q + power_b - power_a) % 4
+                norm = 1.0 if pa == pb else superposition_norm(m, n_idx, gamma_q)
+                if m == n_idx:
+                    key = (basis.alpha, "s", m)
+                elif m < n_idx:
+                    key = (basis.alpha, "p", m, n_idx, gamma_q)
+                else:
+                    key = (basis.alpha, "p", n_idx, m, -gamma_q % 4)
+                if norm:
+                    uses[key] = uses[key] + coeff * norm if key in uses else coeff * norm
+            total = 0.0 + 0.0j
+            for key, weight in uses.items():
+                total += weight * probs_of(key)[i]
+            values.append(total)
+    return np.array(values)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_populations_equal_loop_reference_bitwise(n, design1, design2, design3):
+    design = {1: design1, 2: design2, 3: design3}[n]
+    rng = np.random.default_rng(700 + n)
+    backend = ExperimentBackend(random_channel(n, 2, rng), design, shots=250, seed=n)
+    elements = [tuple(int(v) for v in rng.integers(0, 4**n, 2)) for _ in range(6)]
+    elements += [(3, 3), (1, pauli_from_index(1, n))]
+    phased = pauli_from_index(2, n)
+    elements.append((PauliOperator(n, phased.x_bits, phased.z_bits, 1), 2))
+    exact, measured, _, _ = _populations(backend, _ElementBatch(design, elements))
+    for row, (a, b) in enumerate(elements):
+        assert exact[row].tobytes() == loop_population(backend, a, b, False).tobytes()
+        assert measured[row].tobytes() == loop_population(backend, a, b, True).tobytes()
 
 
 def test_error_bound_values():
@@ -211,7 +266,7 @@ def test_enumerate_settings_diagonal_only(design2):
 def test_canonical_keys_identify_physical_settings(design2):
     # distinct canonical keys must give distinct prepared states (up to phase)
     backend = ExperimentBackend(builtin_channel("identity", {"n": 2}), design2)
-    report = enumerate_settings(_element_entries(design2), design2, backend=backend)
+    report = enumerate_settings(_element_entries(design2), design2)
     states = {key: backend._prepared_state(key).amplitudes for key in report.settings}
     keys = list(states)
     for i, ka in enumerate(keys):
@@ -344,3 +399,40 @@ def test_n3_element_builds_each_basis_unitary_once(monkeypatch):
     estimate_element(random_channel(3, 2, seed=42), "XYZ", "ZIY", plan, design)
     assert counts["compile_prep"] == counts["apply_circuit"] == counts["translate"] == 0
     assert counts["unitary"] <= 9
+
+
+@pytest.mark.parametrize("plan", [SamplingPlan(m=20, seed=8), SamplingPlan(m=7, shots=300, seed=8)])
+def test_full_tomography_matches_estimate_element_bitwise(design2, plan):
+    channel = random_channel(2, 3, seed=43)
+    _, report = full_tomography(channel, plan, design2)
+    rng = np.random.default_rng(44)
+    elements = _element_entries(design2)
+    for pos in rng.choice(len(elements), size=12, replace=False):
+        a, b = elements[pos]
+        result = estimate_element(channel, a, b, plan, design2)
+        expected = _element_report(2, a, b, result)
+        assert json.dumps(report["elements"][pos]) == json.dumps(expected)
+
+
+def test_full_tomography_n3_exact(design3):
+    channel = random_channel(3, 2, seed=45)
+    chi, report = full_tomography(channel, SamplingPlan(m=72), design3)
+    assert np.max(np.abs(chi.entries - chi_from_kraus(channel).entries)) < 1e-12
+    assert report["dedup"]["num_settings"] == 1080
+
+
+def test_element_reads_translation_images_of_its_paulis_only(monkeypatch):
+    # A fresh design has no image cached; one element needs its two Paulis
+    # in each of the 9 bases.
+    design = build_design(3)
+    counts = collections.Counter()
+    original = sys.modules["seqpt.mub"].conjugate_pauli
+
+    def counted(*args, **kwargs):
+        counts["conjugate_pauli"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sys.modules["seqpt.mub"], "conjugate_pauli", counted)
+    plan = SamplingPlan(m=12, shots=1000, seed=5)
+    estimate_element(random_channel(3, 2, seed=46), "XYZ", "ZIY", plan, design)
+    assert counts["conjugate_pauli"] == 2 * 9
